@@ -38,6 +38,8 @@ use crate::hierarchy::GroupHierarchy;
 use crate::release::MultiLevelRelease;
 use crate::Result;
 
+pub use crate::canonical::{content_digest, content_digest_naive};
+
 /// The artifact schema version this build writes.
 ///
 /// Version history:
@@ -237,8 +239,9 @@ pub struct ArtifactManifest {
     /// Right-side node count of the underlying graph.
     pub right_nodes: u32,
     /// FNV-1a digest over the canonical (compact-JSON) hierarchy and
-    /// release sections, written since schema version 2 and verified on
-    /// every load ([`CoreError::ChecksumMismatch`] on disagreement).
+    /// release sections ([`content_digest`]), written since schema
+    /// version 2 and verified on every JSON load
+    /// ([`CoreError::ChecksumMismatch`] on disagreement).
     /// `None` only for version-1 artifacts, which predate the digest.
     pub content_digest: Option<u64>,
     /// Cross-epoch privacy accounting (schema version 3+): this epoch's
@@ -407,22 +410,6 @@ impl ReleaseArtifact {
             release,
         })
     }
-}
-
-/// The FNV-1a content digest a sealed manifest promises: the compact
-/// canonical JSON of the hierarchy, a zero separator byte, then the
-/// compact canonical JSON of the release. Rendering is deterministic
-/// (shortest-round-trip floats, fixed field order), so a lossless
-/// save/load cycle reproduces the digest bit-for-bit.
-fn content_digest(hierarchy: &GroupHierarchy, release: &MultiLevelRelease) -> Result<u64> {
-    let canon = |what: &str, r: std::result::Result<String, serde_json::Error>| {
-        r.map_err(|e| CoreError::Artifact(format!("cannot canonicalize {what} for digest: {}", e.0)))
-    };
-    let h = canon("hierarchy", serde_json::to_string(hierarchy))?;
-    let r = canon("release", serde_json::to_string(release))?;
-    let mut digest = graph_io::fnv1a_64(h.as_bytes());
-    digest = graph_io::fnv1a_64_with(digest, &[0]);
-    Ok(graph_io::fnv1a_64_with(digest, r.as_bytes()))
 }
 
 /// The sealing invariants, shared by [`ReleaseArtifact::seal`] and
@@ -981,6 +968,54 @@ mod tests {
         assert_ne!(text, doctored);
         let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
         assert!(matches!(err, CoreError::ChecksumMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn non_finite_values_are_refused_at_seal_and_load() {
+        let (hierarchy, release) = publishable();
+        let is_refusal = |err: &CoreError| match err {
+            CoreError::Artifact(m) => m.contains("cannot canonicalize release for digest"),
+            _ => false,
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for in_scale in [false, true] {
+                let mut levels = release.levels().to_vec();
+                let q = &mut levels[1].queries[1];
+                if in_scale {
+                    q.noise_scale = bad;
+                } else {
+                    q.noisy_values[0] = bad;
+                }
+                let broken = MultiLevelRelease::new(
+                    release.mechanism(),
+                    release.epsilon_g(),
+                    release.delta(),
+                    levels,
+                )
+                .unwrap();
+                let err = ReleaseArtifact::seal("dblp", 1, hierarchy.clone(), broken).unwrap_err();
+                assert!(is_refusal(&err), "{bad} (scale: {in_scale}): {err}");
+            }
+        }
+
+        // JSON cannot spell NaN, but an overflowing literal parses to ±∞.
+        let a = ReleaseArtifact::seal("dblp", 1, hierarchy, release).unwrap();
+        let mut buf = Vec::new();
+        a.write_json(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        for needle in ["\"noise_scale\":", "\"noisy_values\": ["] {
+            for literal in ["1e999", "-1e999"] {
+                let at = text.find(needle).expect("release carries the field") + needle.len();
+                let start = at + text[at..].find(|c: char| !c.is_whitespace()).unwrap();
+                let len = text[start..]
+                    .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
+                    .unwrap();
+                let mut doctored = text.clone();
+                doctored.replace_range(start..start + len, literal);
+                let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
+                assert!(is_refusal(&err), "{needle} {literal}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -59,6 +59,7 @@
 
 mod access;
 mod baseline;
+mod canonical;
 mod disclosure;
 mod error;
 mod hierarchy;

@@ -471,6 +471,88 @@ mod tests {
         ));
     }
 
+    /// Valid wire inputs for the sweeps: a GET, a POST with a body, a
+    /// keep-alive pair pipelined on one connection, and a
+    /// `connection: close` request.
+    fn sweep_inputs() -> Vec<Vec<u8>> {
+        let body = br#"{"dataset":"dblp","epoch":4,"privilege":0,"level":1}"#;
+        let mut post = format!(
+            "POST /v1/answer HTTP/1.1\r\nhost: gdp\r\ncontent-length: {}\r\n\
+             content-type: application/json\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        post.extend_from_slice(body);
+        let mut pipelined = b"GET /v1/releases HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec();
+        pipelined.extend_from_slice(&post);
+        vec![
+            b"GET /health HTTP/1.1\r\nHost: gdp\r\n\r\n".to_vec(),
+            post,
+            pipelined,
+            b"GET /stats HTTP/1.1\r\nhost: gdp\r\nConnection: close\r\n\r\n".to_vec(),
+        ]
+    }
+
+    /// Reads requests off `bytes` until the stream ends or errors, as a
+    /// keep-alive connection would, checking what each success claims.
+    fn read_all(bytes: &[u8]) -> (usize, Option<HttpError>) {
+        let mut reader = BufReader::new(bytes);
+        let mut parsed = 0;
+        // Each request takes at least one byte, so this bound is loose.
+        for _ in 0..=bytes.len() {
+            match read_request(&mut reader, 1024) {
+                Ok(Some(req)) => {
+                    let declared = req
+                        .header("content-length")
+                        .map_or(0, |v| v.parse::<usize>().unwrap());
+                    assert_eq!(req.body.len(), declared, "body shorter than declared");
+                    parsed += 1;
+                }
+                Ok(None) => return (parsed, None),
+                Err(e) => return (parsed, Some(e)),
+            }
+        }
+        panic!("reader made no progress");
+    }
+
+    #[test]
+    fn truncation_at_every_byte_is_typed_never_panics() {
+        for input in sweep_inputs() {
+            let whole = read_all(&input);
+            assert!(whole.1.is_none(), "valid input failed: {:?}", whole.1);
+            for cut in 0..input.len() {
+                let (parsed, err) = read_all(&input[..cut]);
+                assert!(parsed <= whole.0, "cut {cut} parsed extra requests");
+                match err {
+                    None => {}
+                    // A torn read or a torn line; an in-memory reader
+                    // never times out and never overflows a limit here.
+                    Some(HttpError::Closed | HttpError::Malformed(_)) => {}
+                    Some(other) => panic!("cut {cut}: unexpected class: {other}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_typed_never_panics() {
+        for input in sweep_inputs() {
+            for byte in 0..input.len() {
+                for bit in 0..8 {
+                    let mut doctored = input.clone();
+                    doctored[byte] ^= 1 << bit;
+                    match read_all(&doctored).1 {
+                        None
+                        | Some(HttpError::Closed)
+                        | Some(HttpError::Malformed(_))
+                        | Some(HttpError::TooLarge { .. }) => {}
+                        Some(other) => panic!("byte {byte} bit {bit}: unexpected class: {other}"),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn response_round_trips_through_client_reader() {
         let resp = Response::json(200, &serde::Value::Str("ok".to_string()))

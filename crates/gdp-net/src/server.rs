@@ -69,7 +69,8 @@ pub struct ServerConfig {
     /// Hard cap on a request body, in bytes.
     pub max_body_bytes: usize,
     /// Keep-alive cap: requests served per connection before the server
-    /// closes it (bounds how long one client can pin a worker).
+    /// closes it (bounds how long one client can pin a worker). The
+    /// last allowed response says `connection: close`.
     pub max_requests_per_connection: u32,
     /// Live-reload wiring for a directory-backed store (watcher thread
     /// and `POST /v1/admin/reload`). Default: disabled.
@@ -555,7 +556,8 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     // as 504s instead of silently slow answers. Keep-alive successors
     // restart the clock at their own arrival.
     let mut deadline_start = conn.accepted_at;
-    for _ in 0..shared.config.max_requests_per_connection {
+    let cap = shared.config.max_requests_per_connection;
+    for served in 1..=cap {
         let request = match http::read_request(&mut reader, shared.config.max_body_bytes) {
             Ok(Some(request)) => request,
             // Clean keep-alive close, or a peer that tore the
@@ -595,9 +597,9 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         };
         let in_flight = InFlight::new(&shared.stats);
         let response = route(shared, &request, deadline_start);
-        let keep_alive = request.keep_alive()
-            && !shared.draining()
-            && shared.config.max_requests_per_connection > 1;
+        // The last request the cap allows says `connection: close`, so
+        // the client reconnects instead of writing into a closed socket.
+        let keep_alive = request.keep_alive() && !shared.draining() && served < cap;
         match http::write_response(&mut writer, &response, keep_alive) {
             Ok(()) => {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);

@@ -144,6 +144,38 @@ fn keep_alive_serves_many_requests_on_one_connection() {
 }
 
 #[test]
+fn keep_alive_cap_says_close_on_the_last_allowed_response() {
+    let mut config = common::test_config();
+    config.max_requests_per_connection = 3;
+    let handle = common::start(config, FaultPlan::none());
+    // A client that honours `connection: close` and reconnects must
+    // never see a transport error, however many requests it sends.
+    let mut conn: Option<client::ClientConn> = None;
+    let mut closes = Vec::new();
+    for i in 0..7 {
+        let c = match conn.as_mut() {
+            Some(c) => c,
+            None => conn.insert(client::ClientConn::connect(handle.addr(), TIMEOUT).unwrap()),
+        };
+        let response = c
+            .send("GET", "/health", None)
+            .unwrap_or_else(|e| panic!("request {i}: transport error {e}"));
+        assert_eq!(response.status, 200, "request {i}");
+        let close = response.header("connection") == Some("close");
+        if close {
+            conn = None;
+        }
+        closes.push(close);
+    }
+    assert_eq!(closes, [false, false, true, false, false, true, false]);
+    common::wait_for(&handle, "7 completions", |s| s.completed == 7);
+    assert_eq!(handle.stats().accepted, 3);
+    drop(conn);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn error_taxonomy_holds_through_the_socket() {
     let handle = common::start(common::test_config(), FaultPlan::none());
     let addr = handle.addr();
