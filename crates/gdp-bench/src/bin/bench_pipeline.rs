@@ -36,16 +36,16 @@
 //! estimator rebuilds or release rescans, nor quietly turn the binary
 //! load path back into JSON-shaped parsing.
 //!
-//! ISSUE 9 adds the lane-kernel and threading instrumentation:
+//! Kernel and threading instrumentation:
 //! `--threads N` pins the worker-pool width for the whole run (recorded
-//! in the report next to the host core count), the `lane_kernels`
-//! entries time each chunked lane kernel against its pinned scalar
-//! fallback (asserting bitwise-equal results every rep), and the
-//! `scaling` section re-times the datagen / disclose / answer phases at
-//! 1/2/4/8 pool threads with the outputs pinned bit-identical across
-//! thread counts. `--assert-gather-lane-over RATIO` makes the run fail
-//! when the lane subset-gather kernel stops beating the scalar path by
-//! the given factor, and `--assert-scaling-disclose-2t-over RATIO`
+//! in the report next to the host core count), the `kernels` entries
+//! time each hot kernel against its naive baseline (asserting
+//! bitwise-equal results every rep), and the `scaling` section re-times
+//! the datagen / disclose / answer phases at 1/2/4/8 pool threads with
+//! the outputs pinned bit-identical across thread counts.
+//! `--assert-gather-over RATIO` makes the run fail when the subset
+//! gather stops beating its naive reference by the given factor, and
+//! `--assert-scaling-disclose-2t-over RATIO`
 //! requires the 2-thread disclose phase to show real parallel speedup
 //! (skipped with a notice on single-core hosts, where no speedup is
 //! physically available).
@@ -57,7 +57,7 @@
 //!                [--assert-datagen-1m-under MS]
 //!                [--assert-answer-qps-over QPS]
 //!                [--assert-binary-load-1m-under MS]
-//!                [--assert-gather-lane-over RATIO]
+//!                [--assert-gather-over RATIO]
 //!                [--assert-scaling-disclose-2t-over RATIO]
 //!                [--assert-delta-disclose-over RATIO]
 //! ```
@@ -203,15 +203,15 @@ struct ReaderThroughput {
     aggregate_qps: f64,
 }
 
-/// One lane-vs-scalar kernel pair (ISSUE 9): the chunked hot-kernel
-/// path timed against its pinned scalar fallback on identical inputs,
-/// outputs asserted bit-identical on every rep.
+/// One kernel-vs-baseline pair: a hot kernel timed against its naive
+/// baseline on identical inputs, outputs asserted bit-identical on
+/// every rep.
 #[derive(Debug, Serialize)]
-struct LaneKernelComparison {
+struct KernelComparison {
     kernel: String,
     work_items: u64,
-    scalar_ms: f64,
-    lane_ms: f64,
+    baseline_ms: f64,
+    kernel_ms: f64,
     speedup: f64,
 }
 
@@ -257,7 +257,7 @@ struct Report {
     /// `None` only when `--max-edges` clips the 100k scale it is
     /// measured at.
     reader_throughput: Option<ReaderThroughput>,
-    lane_kernels: Vec<LaneKernelComparison>,
+    kernels: Vec<KernelComparison>,
     scaling: ScalingReport,
     phases: Vec<PhaseTimings>,
 }
@@ -982,21 +982,20 @@ fn pipeline_at(
     (timings, qps, readers)
 }
 
-/// The ISSUE-9 per-kernel measurements: each restructured hot kernel
-/// timed against its pinned scalar fallback on identical inputs at the
-/// 100k-edge working scale, outputs asserted bit-identical every rep.
-fn lane_kernel_comparison(seed: u64, reps: usize) -> Vec<LaneKernelComparison> {
-    use gdp_serve::kernels::{gather_subset, gather_subset_scalar};
+/// The per-kernel measurements: each hot kernel timed against its
+/// naive baseline on identical inputs at the 100k-edge working scale,
+/// outputs asserted bit-identical every rep.
+fn kernel_comparison(seed: u64, reps: usize) -> Vec<KernelComparison> {
+    use gdp_serve::kernels::{gather_subset, gather_subset_naive};
     let mut rng = StdRng::seed_from_u64(seed ^ 9);
     let mut out = Vec::new();
 
     // Subset-count gather on a side just past the 65 536-node boundary,
-    // where the scalar fallback's duplicate check is the old per-call
-    // `to_vec` + `sort_unstable` walk that ISSUE 9 replaced with the
-    // reusable lazily-cleared scratch bitmap. 1000 subsets of 512
-    // distinct nodes each — large enough that the sort the lane path
-    // hoisted out dominates the scalar cost, small enough that the
-    // lazy clear stays proportional to the subset.
+    // where the naive form's duplicate check is a per-call `to_vec` +
+    // `sort_unstable` walk, against the kernel's reusable
+    // lazily-cleared scratch bitmap. 1000 subsets of 512 distinct nodes
+    // each — large enough that the sort dominates the naive cost, small
+    // enough that the lazy clear stays proportional to the subset.
     let n = 70_000u32;
     let groups = 64u32;
     let group_of: Vec<u32> = (0..n).map(|_| rng.gen_range(0..groups)).collect();
@@ -1010,57 +1009,28 @@ fn lane_kernel_comparison(seed: u64, reps: usize) -> Vec<LaneKernelComparison> {
         }
         acc
     };
-    let (scalar_ms, scalar_acc) = time_best_of(reps * 20, || run(gather_subset_scalar));
-    let (lane_ms, lane_acc) = time_best_of(reps * 20, || run(gather_subset));
+    let (naive_ms, naive_acc) = time_best_of(reps * 20, || run(gather_subset_naive));
+    let (gather_ms, gather_acc) = time_best_of(reps * 20, || run(gather_subset));
     assert_eq!(
-        lane_acc.to_bits(),
-        scalar_acc.to_bits(),
-        "lane gather must be bit-identical to the scalar fallback"
+        gather_acc.to_bits(),
+        naive_acc.to_bits(),
+        "subset gather must be bit-identical to the naive reference"
     );
-    out.push(LaneKernelComparison {
+    out.push(KernelComparison {
         kernel: "subset_gather".to_string(),
         work_items: (subsets.len() * 512) as u64,
-        scalar_ms,
-        lane_ms,
-        speedup: scalar_ms / lane_ms,
+        baseline_ms: naive_ms,
+        kernel_ms: gather_ms,
+        speedup: naive_ms / gather_ms,
     });
 
-    // Pair-count row fold: a bucketed edge set at the 100k-edge scale
-    // (2000 rows, 100k entries) through the chunked vs per-cell
-    // emission paths.
-    let rows = 2_000usize;
-    let entries = 100_000usize;
-    let right_blocks = 2_000u32;
-    let mut offsets = vec![0usize; rows + 1];
-    for _ in 0..entries {
-        offsets[rng.gen_range(0..rows as u32) as usize + 1] += 1;
-    }
-    for i in 0..rows {
-        offsets[i + 1] += offsets[i];
-    }
-    let bucket: Vec<u32> = (0..entries).map(|_| rng.gen_range(0..right_blocks)).collect();
-    let (fold_scalar_ms, cells_scalar) = time_best_of(reps * 5, || {
-        gdp_graph::fold_rows_scalar_for_bench(&bucket, &offsets, right_blocks)
-    });
-    let (fold_lane_ms, cells_lane) = time_best_of(reps * 5, || {
-        gdp_graph::fold_rows_for_bench(&bucket, &offsets, right_blocks)
-    });
-    assert_eq!(cells_lane, cells_scalar, "fold paths must agree");
-    out.push(LaneKernelComparison {
-        kernel: "pair_count_fold".to_string(),
-        work_items: entries as u64,
-        scalar_ms: fold_scalar_ms,
-        lane_ms: fold_lane_ms,
-        speedup: fold_scalar_ms / fold_lane_ms,
-    });
-
-    // Batched Laplace: the chunked pre-drawn-uniform transform behind
-    // `randomize_slice` vs the per-element draw loop it replaced (both
-    // consume the identical RNG stream — asserted bitwise).
+    // Batched Laplace: the pre-drawn-uniform transform behind
+    // `randomize_slice` vs the per-element draw loop (both consume the
+    // identical RNG stream — asserted bitwise).
     let len = 100_000usize;
     let scale = 4.0;
     let base: Vec<f64> = (0..len).map(|i| i as f64).collect();
-    let (lap_scalar_ms, scalar_vals) = time_best_of(reps * 5, || {
+    let (loop_ms, loop_vals) = time_best_of(reps * 5, || {
         let mut vals = base.clone();
         let mut r = StdRng::seed_from_u64(seed ^ 10);
         for v in &mut vals {
@@ -1068,25 +1038,25 @@ fn lane_kernel_comparison(seed: u64, reps: usize) -> Vec<LaneKernelComparison> {
         }
         vals
     });
-    let (lap_lane_ms, lane_vals) = time_best_of(reps * 5, || {
+    let (batched_ms, batched_vals) = time_best_of(reps * 5, || {
         let mut vals = base.clone();
         let mut r = StdRng::seed_from_u64(seed ^ 10);
         gdp_mechanisms::sampling::laplace_add_into(&mut r, scale, &mut vals);
         vals
     });
-    for (a, b) in scalar_vals.iter().zip(&lane_vals) {
+    for (a, b) in loop_vals.iter().zip(&batched_vals) {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
             "batched Laplace must be bit-identical to the draw loop"
         );
     }
-    out.push(LaneKernelComparison {
+    out.push(KernelComparison {
         kernel: "laplace_randomize_slice".to_string(),
         work_items: len as u64,
-        scalar_ms: lap_scalar_ms,
-        lane_ms: lap_lane_ms,
-        speedup: lap_scalar_ms / lap_lane_ms,
+        baseline_ms: loop_ms,
+        kernel_ms: batched_ms,
+        speedup: loop_ms / batched_ms,
     });
 
     out
@@ -1216,7 +1186,7 @@ fn main() {
     let mut datagen_1m_ceiling_ms: Option<f64> = None;
     let mut answer_qps_floor: Option<f64> = None;
     let mut binary_load_1m_ceiling_ms: Option<f64> = None;
-    let mut gather_lane_floor: Option<f64> = None;
+    let mut gather_floor: Option<f64> = None;
     let mut scaling_disclose_2t_floor: Option<f64> = None;
     let mut delta_disclose_floor: Option<f64> = None;
     let mut args = std::env::args().skip(1);
@@ -1277,11 +1247,11 @@ fn main() {
                         .expect("--assert-binary-load-1m-under needs a number (ms)"),
                 )
             }
-            "--assert-gather-lane-over" => {
-                gather_lane_floor = Some(
+            "--assert-gather-over" => {
+                gather_floor = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--assert-gather-lane-over needs a number (speedup ratio)"),
+                        .expect("--assert-gather-over needs a number (speedup ratio)"),
                 )
             }
             "--assert-scaling-disclose-2t-over" => {
@@ -1303,7 +1273,7 @@ fn main() {
                     "flags: [--out FILE] [--seed N] [--max-edges N] [--reps N] [--threads N] \
                      [--assert-disclose-100k-under MS] [--assert-datagen-1m-under MS] \
                      [--assert-answer-qps-over QPS] [--assert-binary-load-1m-under MS] \
-                     [--assert-gather-lane-over RATIO] [--assert-scaling-disclose-2t-over RATIO] \
+                     [--assert-gather-over RATIO] [--assert-scaling-disclose-2t-over RATIO] \
                      [--assert-delta-disclose-over RATIO]"
                 );
                 return;
@@ -1422,12 +1392,12 @@ fn main() {
         answer_qps.extend(qps);
     }
 
-    eprintln!("measuring lane kernels vs pinned scalar fallbacks…");
-    let lane_kernels = lane_kernel_comparison(seed, reps);
-    for k in &lane_kernels {
+    eprintln!("measuring hot kernels vs naive baselines…");
+    let kernels = kernel_comparison(seed, reps);
+    for k in &kernels {
         eprintln!(
-            "  {:<24} scalar {:.3} ms  lane {:.3} ms  speedup {:.2}×",
-            k.kernel, k.scalar_ms, k.lane_ms, k.speedup
+            "  {:<24} baseline {:.3} ms  kernel {:.3} ms  speedup {:.2}×",
+            k.kernel, k.baseline_ms, k.kernel_ms, k.speedup
         );
     }
 
@@ -1470,12 +1440,15 @@ fn main() {
         artifact_io_1m,
         answer_qps,
         reader_throughput,
-        lane_kernels,
+        kernels,
         scaling,
         phases,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, json + "\n").expect("report written");
+    // Merged, not overwritten: `load_gen --merge-into` owns the
+    // `serving_frontend` section of the same file.
+    if let Err(message) = gdp_bench::merge_sections(&out_path, report.to_value()) {
+        panic!("report not written: {message}");
+    }
     eprintln!("wrote {out_path}");
 
     // Regression gate for CI: the 100k-edge disclose phase must stay
@@ -1572,27 +1545,27 @@ fn main() {
         );
     }
 
-    // Regression gate for CI: the chunked lane subset-gather kernel must
-    // keep beating its pinned scalar fallback by the given factor — a
-    // change that quietly de-vectorizes the gather (or reintroduces the
-    // per-call bitmap zeroing / sort the lane path hoisted out) shows up
-    // here as a collapsed ratio, independent of runner speed.
-    if let Some(floor) = gather_lane_floor {
+    // Regression gate for CI: the subset gather must keep beating its
+    // naive reference by the given factor — a change that reintroduces
+    // the per-call bitmap zeroing / sort, or puts branches back into the
+    // sum, shows up here as a collapsed ratio, independent of runner
+    // speed.
+    if let Some(floor) = gather_floor {
         let gather = report
-            .lane_kernels
+            .kernels
             .iter()
             .find(|k| k.kernel == "subset_gather")
-            .expect("lane_kernels must include the subset_gather entry");
+            .expect("kernels must include the subset_gather entry");
         if gather.speedup < floor {
             eprintln!(
-                "FAIL: lane subset gather at {:.2}× over scalar (floor {floor:.2}×; \
-                 scalar {:.3} ms, lane {:.3} ms)",
-                gather.speedup, gather.scalar_ms, gather.lane_ms
+                "FAIL: subset gather at {:.2}× over naive (floor {floor:.2}×; \
+                 naive {:.3} ms, gather {:.3} ms)",
+                gather.speedup, gather.baseline_ms, gather.kernel_ms
             );
             std::process::exit(1);
         }
         eprintln!(
-            "lane subset gather: {:.2}× over scalar ≥ floor {floor:.2}×",
+            "subset gather: {:.2}× over naive ≥ floor {floor:.2}×",
             gather.speedup
         );
     }

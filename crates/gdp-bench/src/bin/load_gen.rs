@@ -426,7 +426,8 @@ fn run() -> Result<(), String> {
     );
 
     if let Some(path) = &args.merge_into {
-        merge_section(path, &section)?;
+        let entry = ("serving_frontend".to_string(), section.to_value());
+        gdp_bench::merge_sections(path, serde::Value::Map(vec![entry]))?;
         eprintln!("merged serving_frontend into {path}");
     }
 
@@ -468,25 +469,6 @@ fn run() -> Result<(), String> {
         return Err(violations.join("; "));
     }
     Ok(())
-}
-
-/// Read-modify-write of the tracked bench file: every other section is
-/// preserved byte-for-byte at the value level; `serving_frontend` is
-/// replaced (or appended).
-fn merge_section(path: &str, section: &ServingFrontendBench) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut document: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let serde::Value::Map(entries) = &mut document else {
-        return Err(format!("{path}: top level is not a JSON object"));
-    };
-    let value = section.to_value();
-    match entries.iter_mut().find(|(key, _)| key == "serving_frontend") {
-        Some((_, slot)) => *slot = value,
-        None => entries.push(("serving_frontend".to_string(), value)),
-    }
-    let rendered = serde_json::to_string_pretty(&document).map_err(|e| e.to_string())?;
-    std::fs::write(path, rendered + "\n").map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn main() {

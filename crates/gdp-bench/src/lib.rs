@@ -88,6 +88,42 @@ pub fn thin_hierarchy(hierarchy: &GroupHierarchy, stride: usize) -> GroupHierarc
     GroupHierarchy::new(picked).expect("subsampled levels preserve refinement")
 }
 
+/// Read-modify-write of a JSON bench report: every top-level entry of
+/// `sections` (a JSON object) replaces the file's entry of the same key,
+/// or is appended; every other entry is kept as it was. A missing file
+/// starts as an empty object.
+///
+/// `BENCH_pipeline.json` has two writers — `bench_pipeline` writes
+/// most sections, `load_gen --merge-into` writes `serving_frontend` —
+/// and both go through this function, so neither erases the other's
+/// sections.
+///
+/// # Errors
+///
+/// A message naming `path` when the file cannot be read or written, is
+/// not JSON, or its top level (or `sections`) is not an object.
+pub fn merge_sections(path: &str, sections: serde::Value) -> Result<(), String> {
+    let serde::Value::Map(sections) = sections else {
+        return Err(format!("{path}: sections to merge are not a JSON object"));
+    };
+    let mut document = match std::fs::read_to_string(path) {
+        Ok(text) => serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => serde::Value::Map(Vec::new()),
+        Err(e) => return Err(format!("cannot read {path}: {e}")),
+    };
+    let serde::Value::Map(entries) = &mut document else {
+        return Err(format!("{path}: top level is not a JSON object"));
+    };
+    for (key, value) in sections {
+        match entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, slot)) => *slot = value,
+            None => entries.push((key, value)),
+        }
+    }
+    let rendered = serde_json::to_string_pretty(&document).map_err(|e| e.to_string())?;
+    std::fs::write(path, rendered + "\n").map_err(|e| format!("cannot write {path}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,5 +157,46 @@ mod tests {
         let ctx = build_context(DblpConfig::tiny(), 3, SplitStrategy::Median, 9);
         let same = thin_hierarchy(&ctx.hierarchy, 1);
         assert_eq!(same.level_count(), ctx.hierarchy.level_count());
+    }
+
+    /// `bench_pipeline` writes its report through [`merge_sections`]:
+    /// a `serving_frontend` section already in the file (written by
+    /// `load_gen --merge-into`) must survive unchanged, while the
+    /// sections the report carries are replaced.
+    #[test]
+    fn merge_keeps_serving_frontend_across_bench_pipeline_write() {
+        use serde::Value;
+        let dir = std::env::temp_dir().join(format!("gdp-bench-merge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_pipeline.json");
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+
+        let frontend = Value::Map(vec![
+            ("requests".to_string(), Value::I64(20_000)),
+            ("serve_p99_ms".to_string(), Value::F64(0.147)),
+        ]);
+        merge_sections(
+            path,
+            Value::Map(vec![("serving_frontend".to_string(), frontend.clone())]),
+        )
+        .unwrap();
+        let report = |seed: i64| {
+            Value::Map(vec![
+                ("seed".to_string(), Value::I64(seed)),
+                ("kernels".to_string(), Value::Seq(vec![Value::F64(1.5)])),
+            ])
+        };
+        merge_sections(path, report(1)).unwrap();
+        merge_sections(path, report(2)).unwrap();
+
+        let text = std::fs::read_to_string(path).unwrap();
+        let document: Value = serde_json::from_str(&text).unwrap();
+        let entries = document.as_map().unwrap();
+        let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(get("serving_frontend"), Some(&frontend));
+        assert_eq!(get("seed"), Some(&Value::I64(2)));
+        assert_eq!(entries.len(), 3, "{text}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -77,7 +77,6 @@ pub mod answering;
 pub mod artifact;
 pub mod codec;
 pub mod postprocess;
-pub mod theory;
 
 pub use access::{AccessControlled, AccessPolicy, Privilege};
 pub use artifact::{

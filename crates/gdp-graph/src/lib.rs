@@ -49,18 +49,9 @@ mod node;
 mod pair_counts;
 mod partition;
 mod stats;
-mod subgraph;
-mod traversal;
-mod truncate;
 
 pub mod binfmt;
 pub mod io;
-
-/// The portable fixed-width lane abstraction the hot kernels chunk
-/// over, re-exported from the `gdp-lanes` crate (see its docs for the
-/// ordered-reduction contract that keeps lane paths bit-identical to
-/// their scalar fallbacks).
-pub use gdp_lanes as lanes;
 
 pub use bipartite::{BipartiteGraph, EdgeIter};
 pub use builder::GraphBuilder;
@@ -70,13 +61,8 @@ pub use error::GraphError;
 pub use histogram::DegreeHistogram;
 pub use node::{LeftId, NodeId, RightId, Side};
 pub use pair_counts::{PairCounts, PairMarginals};
-#[doc(hidden)]
-pub use pair_counts::{fold_rows_for_bench, fold_rows_scalar_for_bench};
 pub use partition::SidePartition;
 pub use stats::GraphStats;
-pub use subgraph::InducedSubgraph;
-pub use traversal::{connected_components, ComponentLabeling};
-pub use truncate::{truncate_degrees, Truncation};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -130,11 +130,8 @@ impl PairCounts {
         }
 
         // Pass 2: scatter each edge's right-block id into its left
-        // block's bucket segment. The neighbor→block translation is the
-        // structure-of-arrays step: each node's contiguous neighbor run
-        // maps through the right assignment table as a chunked gather
-        // (`U32_LANES` independent loads per chunk, no per-element
-        // branching) instead of a pointer-chasing per-edge loop.
+        // block's bucket segment: each node's contiguous neighbor run
+        // maps through the right assignment table in one tight loop.
         let mut bucket = vec![0u32; m];
         let mut cursor: Vec<usize> = offsets[..lb].to_vec();
         let right_assignment = right.assignment();
@@ -659,24 +656,10 @@ pub(crate) fn split_rows_by_mass(offsets: &[usize], shards: usize) -> Vec<std::o
 }
 
 /// Translates one node's contiguous neighbor run into right-block ids:
-/// `out[i] = assignment[neighbors[i].index()]`, chunked
-/// [`gdp_lanes::U32_LANES`] wide (the typed-id layer prevents handing
-/// the run to [`gdp_lanes::gather_u32`] directly, so the index loads
-/// unwrap lane-wise here; the gather itself is the same straight-line
-/// chunk body).
+/// `out[i] = assignment[neighbors[i].index()]`.
 #[inline]
 fn scatter_row_blocks(neighbors: &[RightId], assignment: &[u32], out: &mut [u32]) {
-    use gdp_lanes::{U32x8, U32_LANES};
-    let mut chunks = neighbors.chunks_exact(U32_LANES);
-    let mut out_chunks = out.chunks_exact_mut(U32_LANES);
-    for (chunk, out_chunk) in chunks.by_ref().zip(out_chunks.by_ref()) {
-        let mut idx = [0u32; U32_LANES];
-        for (slot, r) in idx.iter_mut().zip(chunk) {
-            *slot = r.index();
-        }
-        out_chunk.copy_from_slice(&U32x8(idx).gather(assignment).0);
-    }
-    for (r, slot) in chunks.remainder().iter().zip(out_chunks.into_remainder()) {
+    for (slot, r) in out.iter_mut().zip(neighbors) {
         *slot = assignment[r.index() as usize];
     }
 }
@@ -684,53 +667,7 @@ fn scatter_row_blocks(neighbors: &[RightId], assignment: &[u32], out: &mut [u32]
 /// Folds the bucketed right-block ids of rows in `range` into sorted
 /// `(column, count)` cells, using a dense scratch array with a touched
 /// list so each row costs `O(bucket + distinct·log distinct)`.
-///
-/// The emission half runs chunked: the sorted touched list is appended
-/// to `col_idx` by one bulk copy and the counts leave the dense scratch
-/// through [`gdp_lanes::gather_u64`] instead of a push-per-cell loop.
-/// [`fold_row_range_scalar`] keeps the original per-cell loop as the
-/// pinned fallback (counts are integers, so equality is exact).
 fn fold_row_range(
-    bucket: &[u32],
-    offsets: &[usize],
-    range: std::ops::Range<usize>,
-    right_blocks: u32,
-) -> RowRangeCells {
-    let mut scratch = vec![0u64; right_blocks as usize];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut out = RowRangeCells {
-        row_cells: Vec::with_capacity(range.len()),
-        col_idx: Vec::new(),
-        cell_counts: Vec::new(),
-    };
-    for row in range {
-        // Accumulation stays element-order on purpose: duplicate block
-        // ids inside one chunk must observe each other's increments, so
-        // a gathered read-modify-write would drop counts.
-        for &rb in &bucket[offsets[row]..offsets[row + 1]] {
-            if scratch[rb as usize] == 0 {
-                touched.push(rb);
-            }
-            scratch[rb as usize] += 1;
-        }
-        touched.sort_unstable();
-        out.row_cells.push(touched.len());
-        out.col_idx.extend_from_slice(&touched);
-        let base = out.cell_counts.len();
-        out.cell_counts.resize(base + touched.len(), 0);
-        gdp_lanes::gather_u64(&scratch, &touched, &mut out.cell_counts[base..]);
-        for &rb in &touched {
-            scratch[rb as usize] = 0;
-        }
-        touched.clear();
-    }
-    out
-}
-
-/// The original per-cell emission loop, kept verbatim as the **pinned
-/// fallback** for [`fold_row_range`] (equivalence tested below, same
-/// convention as [`PairCounts::compute_naive`]).
-fn fold_row_range_scalar(
     bucket: &[u32],
     offsets: &[usize],
     range: std::ops::Range<usize>,
@@ -760,21 +697,6 @@ fn fold_row_range_scalar(
         touched.clear();
     }
     out
-}
-
-/// Drives the chunked row-fold kernel over a prebuilt bucket/offsets
-/// pair and returns the folded non-empty cell count — the criterion
-/// surface for the lane-vs-scalar pair in `gdp-bench`; not part of the
-/// stable API.
-#[doc(hidden)]
-pub fn fold_rows_for_bench(bucket: &[u32], offsets: &[usize], right_blocks: u32) -> usize {
-    fold_row_range(bucket, offsets, 0..offsets.len() - 1, right_blocks).col_idx.len()
-}
-
-/// Scalar twin of [`fold_rows_for_bench`].
-#[doc(hidden)]
-pub fn fold_rows_scalar_for_bench(bucket: &[u32], offsets: &[usize], right_blocks: u32) -> usize {
-    fold_row_range_scalar(bucket, offsets, 0..offsets.len() - 1, right_blocks).col_idx.len()
 }
 
 #[cfg(test)]
@@ -923,35 +845,8 @@ mod tests {
         let _ = PairCounts::compute(&g, &pr.clone(), &pr);
     }
 
-    /// The chunked fold emission must agree exactly with the verbatim
-    /// per-cell loop at every row shape — empty rows, single-cell rows,
-    /// rows with heavy intra-chunk duplicate block ids, and bucket
-    /// lengths on both sides of the lane width.
-    #[test]
-    fn fold_row_range_matches_scalar_fallback() {
-        // Rows of lengths 0,1,7,8,9,17,64 with block ids cycling through
-        // a small range so duplicates land inside single chunks.
-        let lens = [0usize, 1, 7, 8, 9, 17, 64];
-        let mut offsets = vec![0usize];
-        let mut bucket = Vec::new();
-        for (i, &len) in lens.iter().enumerate() {
-            for j in 0..len {
-                bucket.push(((i * 31 + j * j) % 13) as u32);
-            }
-            offsets.push(bucket.len());
-        }
-        let rb = 13u32;
-        for range in [0..lens.len(), 2..5, 0..1, 6..7] {
-            let lane = fold_row_range(&bucket, &offsets, range.clone(), rb);
-            let scalar = fold_row_range_scalar(&bucket, &offsets, range, rb);
-            assert_eq!(lane.row_cells, scalar.row_cells);
-            assert_eq!(lane.col_idx, scalar.col_idx);
-            assert_eq!(lane.cell_counts, scalar.cell_counts);
-        }
-    }
-
-    /// The chunked neighbor→block scatter must translate every neighbor
-    /// at every run length (remainders included).
+    /// The neighbor→block scatter must translate every neighbor at every
+    /// run length.
     #[test]
     fn scatter_row_blocks_matches_block_of() {
         let assignment: Vec<u32> = (0..40u32).map(|r| (r * 7) % 11).collect();

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use gdp_graph::{
-    connected_components, io, CsrDirectBuilder, DegreeHistogram, GraphBuilder, LeftId, PairCounts,
-    RightId, Side, SidePartition,
+    io, CsrDirectBuilder, DegreeHistogram, GraphBuilder, LeftId, PairCounts, RightId, Side,
+    SidePartition,
 };
 
 /// Strategy: a random edge list over bounded side sizes.
@@ -232,19 +232,6 @@ proptest! {
             let q = h.quantile(i as f64 / 10.0);
             prop_assert!(q >= prev);
             prev = q;
-        }
-    }
-
-    #[test]
-    fn components_partition_nodes((nl, nr, edges) in graph_strategy()) {
-        let g = build(nl, nr, &edges);
-        let cc = connected_components(&g);
-        let sizes = cc.component_sizes();
-        prop_assert_eq!(sizes.iter().sum::<u64>(), g.node_count());
-        prop_assert!(sizes.iter().all(|&s| s > 0));
-        // Two endpoints of an edge share a component.
-        for (l, r) in g.edges() {
-            prop_assert_eq!(cc.left_component(l), cc.right_component(r));
         }
     }
 

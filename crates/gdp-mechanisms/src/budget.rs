@@ -269,65 +269,6 @@ impl fmt::Display for PrivacyBudget {
     }
 }
 
-/// Describes how a privacy budget is divided between the two phases of the
-/// disclosure pipeline (specialization vs. noise injection).
-///
-/// The paper spends budget in both phases but does not publish the ratio;
-/// `BudgetSplit` makes the ratio an explicit, auditable parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BudgetSplit {
-    /// Fraction of `ε` given to Phase 1 (exponential-mechanism
-    /// specialization); the remainder goes to Phase 2 (noise injection).
-    phase1_fraction: f64,
-}
-
-impl BudgetSplit {
-    /// Creates a split giving `phase1_fraction` of the budget to Phase 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MechanismError::InvalidProbability`] unless
-    /// `phase1_fraction ∈ (0, 1)`.
-    pub fn new(phase1_fraction: f64) -> Result<Self> {
-        if phase1_fraction.is_finite() && phase1_fraction > 0.0 && phase1_fraction < 1.0 {
-            Ok(Self { phase1_fraction })
-        } else {
-            Err(MechanismError::InvalidProbability(phase1_fraction))
-        }
-    }
-
-    /// The fraction of budget allotted to Phase 1.
-    pub fn phase1_fraction(self) -> f64 {
-        self.phase1_fraction
-    }
-
-    /// Divides `budget` into `(phase1, phase2)` shares.
-    ///
-    /// All of `δ` is assigned to Phase 2 because Phase 1 (the exponential
-    /// mechanism) is a pure `ε`-DP primitive and cannot consume `δ`.
-    pub fn apply(self, budget: PrivacyBudget) -> (PrivacyBudget, PrivacyBudget) {
-        let e = budget.epsilon.get();
-        let p1 = PrivacyBudget {
-            epsilon: Epsilon(e * self.phase1_fraction),
-            delta: Delta::ZERO,
-        };
-        let p2 = PrivacyBudget {
-            epsilon: Epsilon(e * (1.0 - self.phase1_fraction)),
-            delta: budget.delta,
-        };
-        (p1, p2)
-    }
-}
-
-impl Default for BudgetSplit {
-    /// Half the `ε` to each phase.
-    fn default() -> Self {
-        Self {
-            phase1_fraction: 0.5,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,24 +330,6 @@ mod tests {
         assert!(b.split_weighted(&[1.0, 0.0]).is_err());
         assert!(b.split_weighted(&[1.0, -2.0]).is_err());
         assert!(b.split_weighted(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn phase_split_assigns_all_delta_to_phase2() {
-        let b = PrivacyBudget::new(1.0, 1e-5).unwrap();
-        let split = BudgetSplit::new(0.3).unwrap();
-        let (p1, p2) = split.apply(b);
-        assert!((p1.epsilon.get() - 0.3).abs() < 1e-12);
-        assert!((p2.epsilon.get() - 0.7).abs() < 1e-12);
-        assert!(p1.delta.is_pure());
-        assert_eq!(p2.delta.get(), 1e-5);
-    }
-
-    #[test]
-    fn phase_split_rejects_degenerate_fractions() {
-        assert!(BudgetSplit::new(0.0).is_err());
-        assert!(BudgetSplit::new(1.0).is_err());
-        assert!(BudgetSplit::new(f64::NAN).is_err());
     }
 
     #[test]

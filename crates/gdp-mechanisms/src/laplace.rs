@@ -96,7 +96,7 @@ impl LaplaceMechanism {
     }
 
     /// Adds calibrated noise to every element of `values` in place — the
-    /// batched hot path the disclosure pipeline uses. Runs the chunked
+    /// batched hot path the disclosure pipeline uses. Runs the block-wise
     /// pre-drawn-uniform transform ([`sampling::laplace_add_into`]),
     /// bit-identical to a per-element `v += laplace(rng, scale)` loop
     /// under the same seed.

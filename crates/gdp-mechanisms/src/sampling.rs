@@ -41,7 +41,7 @@ pub fn laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
 
 /// The pure inverse-CDF half of [`laplace`]: maps one open-`(0,1)`
 /// uniform to a `Laplace(0, scale)` draw, consuming no randomness.
-/// Shared verbatim by the single-draw sampler and the chunked batch
+/// Shared verbatim by the single-draw sampler and the batched
 /// transforms, so the two are bit-identical by construction.
 #[inline]
 fn laplace_from_uniform(u: f64, scale: f64) -> f64 {
@@ -122,7 +122,7 @@ fn geometric_at_least_one<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> i64 {
 }
 
 /// Block size of the batched Laplace samplers: uniforms are pre-drawn
-/// into a stack buffer of this many slots, then transformed chunked.
+/// into a stack buffer of this many slots, then transformed in one loop.
 const LAPLACE_BLOCK: usize = 256;
 
 /// Fills `out` with independent `Laplace(0, scale)` draws.
@@ -132,9 +132,9 @@ const LAPLACE_BLOCK: usize = 256;
 /// to [`laplace`] under the same RNG state: uniforms are pre-drawn
 /// block-wise in element order (the inverse-CDF transform consumes no
 /// randomness, so hoisting it changes nothing about the draw
-/// sequence), then mapped through the transform in `f64` lane chunks —
-/// a branch-free elementwise loop the compiler can vectorize, instead
-/// of alternating RNG state updates with `ln` calls per element.
+/// sequence), then mapped through the transform in one branch-free
+/// elementwise loop, instead of alternating RNG state updates with `ln`
+/// calls per element.
 /// Pinned by `laplace_into_matches_repeated_single_draws` and the
 /// property suite.
 ///
@@ -175,36 +175,20 @@ pub fn laplace_add_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [
     }
 }
 
-/// Chunked pure transform `out[i] = InverseCdf(uniforms[i])`, four
-/// `f64` lanes per chunk. Elementwise application of
-/// [`laplace_from_uniform`], so each output lane sees exactly the ops
-/// the scalar sampler runs.
+/// Pure transform `out[i] = InverseCdf(uniforms[i])`: elementwise
+/// [`laplace_from_uniform`], so each output sees exactly the ops the
+/// scalar sampler runs.
 #[inline]
 fn laplace_transform_into(uniforms: &[f64], scale: f64, out: &mut [f64]) {
-    use gdp_lanes::{F64x4, F64_LANES};
-    let mut chunks = uniforms.chunks_exact(F64_LANES);
-    let mut out_chunks = out.chunks_exact_mut(F64_LANES);
-    for (chunk, out_chunk) in chunks.by_ref().zip(out_chunks.by_ref()) {
-        F64x4::load(chunk)
-            .map(|u| laplace_from_uniform(u, scale))
-            .store(out_chunk);
-    }
-    for (&u, slot) in chunks.remainder().iter().zip(out_chunks.into_remainder()) {
+    for (slot, &u) in out.iter_mut().zip(uniforms) {
         *slot = laplace_from_uniform(u, scale);
     }
 }
 
-/// Chunked pure transform `values[i] += InverseCdf(uniforms[i])`.
+/// Pure transform `values[i] += InverseCdf(uniforms[i])`.
 #[inline]
 fn laplace_transform_add(uniforms: &[f64], scale: f64, values: &mut [f64]) {
-    use gdp_lanes::{F64x4, F64_LANES};
-    let mut chunks = uniforms.chunks_exact(F64_LANES);
-    let mut val_chunks = values.chunks_exact_mut(F64_LANES);
-    for (chunk, val_chunk) in chunks.by_ref().zip(val_chunks.by_ref()) {
-        let noise = F64x4::load(chunk).map(|u| laplace_from_uniform(u, scale));
-        (F64x4::load(val_chunk) + noise).store(val_chunk);
-    }
-    for (&u, slot) in chunks.remainder().iter().zip(val_chunks.into_remainder()) {
+    for (slot, &u) in values.iter_mut().zip(uniforms) {
         *slot += laplace_from_uniform(u, scale);
     }
 }

@@ -1,48 +1,41 @@
-//! The raw subset-gather kernels behind [`IndexedRelease::estimate`].
+//! The raw subset-gather kernel behind [`IndexedRelease::estimate`].
 //!
-//! Exposed as a public module so the criterion pairs in `gdp-bench` and
-//! the equivalence property suites can drive the lane path and its
-//! pinned scalar fallback directly, without an artifact in the loop.
+//! Exposed as a public module so the bench harness and the equivalence
+//! property suites can drive the production form and its pinned naive
+//! reference directly, without an artifact in the loop.
 //!
-//! # Structure of the lane path
+//! # Structure
 //!
-//! The scalar form ([`gather_subset_scalar`]) interleaves the bounds
+//! The naive form ([`gather_subset_naive`]) interleaves the bounds
 //! check, the duplicate-bitmap update and the dependent double gather
 //! in one loop body — every iteration carries two branches and the
-//! bitmap read-modify-write, none of it vectorizable. The lane path
-//! ([`gather_subset`]) hoists validation out of the accumulation loop
-//! entirely:
+//! bitmap read-modify-write — and zero-initializes an 8 KiB stack
+//! bitmap per call (or, on sides past 65 536 nodes, allocates and sorts
+//! a copy of the subset). [`gather_subset`] splits that into three
+//! plain passes:
 //!
-//! 1. **Sweep** (the private `subset_defective`): one chunked pass over
-//!    the subset — a branchless [`U32x8`] bound mask per
-//!    chunk (a single well-predicted branch per 8 nodes), then the
-//!    duplicate-bitmap bit sets, against a **reusable thread-local
-//!    bitmap** cleared lazily (only the words the subset touched),
-//!    instead of zero-initializing an 8 KiB stack array per call or —
-//!    on sides past 65 536 nodes — allocating and sorting a copy of
-//!    the whole subset.
-//! 2. **Gather** ([`gdp_lanes::gather_map_sum`]): a check-free chunked
-//!    double gather whose loads are lane-wise and independent, with
-//!    **one ordered horizontal fold per chunk** — the exact add
-//!    sequence of the scalar loop, so the result is bit-identical.
+//! 1. **Bounds**: one max-fold over the subset; any node `>= n` makes
+//!    it defective.
+//! 2. **Duplicates**: a branchless sweep over a **reusable thread-local
+//!    bitmap**, cleared lazily (only the words the subset touched).
+//!    Every node is in range by then, so the clear walks the whole
+//!    subset.
+//! 3. **Sum**: a check-free ordered double gather.
 //!
 //! Summation order is part of the released-answer contract (an
-//! artifact sealed yesterday must serve the same bits tomorrow), which
-//! is why the reduction is ordered rather than lane-parallel; the
-//! speedup comes from removing per-element branching and bitmap
-//! traffic from the float chain, not from reordering it.
+//! artifact sealed yesterday must serve the same bits tomorrow), so the
+//! sum runs in subset order, exactly as in the naive loop; the speedup
+//! comes from the reusable bitmap and from taking branches out of the
+//! float chain, not from reordering it.
 //!
 //! [`IndexedRelease::estimate`]: crate::IndexedRelease::estimate
 
 use std::cell::RefCell;
 
-use gdp_graph::lanes;
-use gdp_lanes::{U32x8, U32_LANES};
-
-/// Stack-bitmap capacity of the scalar fallback: 1024 words = 65 536
-/// node ids, the boundary past which the scalar path falls back to
-/// sort-based duplicate detection.
-pub const SCALAR_BITMAP_WORDS: usize = 1024;
+/// Stack-bitmap capacity of the naive form: 1024 words = 65 536 node
+/// ids, the boundary past which it falls back to sort-based duplicate
+/// detection.
+const NAIVE_BITMAP_WORDS: usize = 1024;
 
 thread_local! {
     /// The reusable duplicate-detection bitmap. Sized to the largest
@@ -52,94 +45,65 @@ thread_local! {
     static DUP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The lane-path subset gather: `Σ premass[group_of[v]]` over `v` in
-/// subset order, or `None` when the subset is defective (a node out of
-/// range, or a duplicate) — the caller re-walks defective subsets
-/// canonically to produce the typed error, so this path never decides
-/// error precedence.
+/// The subset gather: `Σ premass[group_of[v]]` over `v` in subset
+/// order, or `None` when the subset is defective (a node out of range,
+/// or a duplicate) — the caller re-walks defective subsets canonically
+/// to produce the typed error, so this path never decides error
+/// precedence.
 ///
-/// Bit-identical to [`gather_subset_scalar`] on every input (pinned by
+/// Bit-identical to [`gather_subset_naive`] on every input (pinned by
 /// unit and property tests): validation is hoisted, the accumulation
 /// order is not changed.
 pub fn gather_subset(group_of: &[u32], premass: &[f64], nodes: &[u32]) -> Option<f64> {
-    if subset_defective(nodes, group_of.len() as u32) {
+    let n = group_of.len() as u32;
+    if !nodes.is_empty() && nodes.iter().fold(0, |m, &v| m.max(v)) >= n {
         return None;
     }
-    Some(lanes::gather_map_sum(nodes, group_of, premass))
+    if has_duplicate(nodes, n) {
+        return None;
+    }
+    let mut total = 0.0;
+    for &node in nodes {
+        total += premass[group_of[node as usize] as usize];
+    }
+    Some(total)
 }
 
-/// One chunked sweep deciding defectiveness: any node `>= n` or any
-/// duplicate. Bits are set in the thread-local scratch bitmap and
-/// cleared before returning.
-fn subset_defective(nodes: &[u32], n: u32) -> bool {
+/// Branchless duplicate sweep over the thread-local scratch bitmap.
+/// Every node must be `< n`. The bits it sets are cleared before
+/// returning.
+fn has_duplicate(nodes: &[u32], n: u32) -> bool {
     let words = (n as usize).div_ceil(64);
     DUP_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         if scratch.len() < words {
             scratch.resize(words, 0);
         }
-        let (defective, marked) = sweep(nodes, n, &mut scratch);
-        // Lazy clear: every marked node is in range, and all set bits
-        // live in these words, so this restores the all-zero invariant
-        // in O(|S|) regardless of the side's size.
-        for &node in marked {
+        let mut seen = 0u64;
+        for &node in nodes {
+            let (word, bit) = (node as usize / 64, 1u64 << (node % 64));
+            seen |= scratch[word] & bit;
+            scratch[word] |= bit;
+        }
+        for &node in nodes {
             scratch[node as usize / 64] = 0;
         }
-        defective
+        seen != 0
     })
 }
 
-/// The sweep body. Returns the defect flag and the prefix of `nodes`
-/// whose bits were set (defect-free chunks plus, on a duplicate, the
-/// chunk that contained it; nothing from a chunk with an out-of-range
-/// node — the bound mask runs before any bit is touched).
-fn sweep<'a>(nodes: &'a [u32], n: u32, bitmap: &mut [u64]) -> (bool, &'a [u32]) {
-    let mut marked = 0usize;
-    let mut chunks = nodes.chunks_exact(U32_LANES);
-    for chunk in chunks.by_ref() {
-        // Branchless lane compare, one branch per chunk — and it must
-        // run first: an out-of-range id would index past the bitmap.
-        if U32x8::load(chunk).any_ge(n) {
-            return (true, &nodes[..marked]);
-        }
-        let mut dup = false;
-        for &node in chunk {
-            let (word, bit) = (node as usize / 64, 1u64 << (node % 64));
-            dup |= bitmap[word] & bit != 0;
-            bitmap[word] |= bit;
-        }
-        marked += U32_LANES;
-        if dup {
-            return (true, &nodes[..marked]);
-        }
-    }
-    for &node in chunks.remainder() {
-        if node >= n {
-            return (true, &nodes[..marked]);
-        }
-        let (word, bit) = (node as usize / 64, 1u64 << (node % 64));
-        if bitmap[word] & bit != 0 {
-            return (true, &nodes[..marked + 1]);
-        }
-        bitmap[word] |= bit;
-        marked += 1;
-    }
-    (false, &nodes[..marked])
-}
-
-/// The pre-lane scalar form, kept verbatim as the **pinned fallback**:
-/// per-node bounds branch, interleaved bitmap update (a
+/// The single-loop form, kept as the **naive reference**: per-node bounds branch, interleaved bitmap update (a
 /// zero-initialized 8 KiB stack bitmap for sides up to 65 536 nodes),
 /// and — beyond that — duplicate detection by allocating and sorting a
 /// copy of the subset on every call. The equivalence baseline and the
-/// criterion comparison point for [`gather_subset`].
-pub fn gather_subset_scalar(group_of: &[u32], premass: &[f64], nodes: &[u32]) -> Option<f64> {
+/// bench comparison point for [`gather_subset`].
+pub fn gather_subset_naive(group_of: &[u32], premass: &[f64], nodes: &[u32]) -> Option<f64> {
     let n = group_of.len() as u32;
     let words = (n as usize).div_ceil(64);
     let mut defective = false;
     let mut total = 0.0;
-    if words <= SCALAR_BITMAP_WORDS {
-        let mut bitmap = [0u64; SCALAR_BITMAP_WORDS];
+    if words <= NAIVE_BITMAP_WORDS {
+        let mut bitmap = [0u64; NAIVE_BITMAP_WORDS];
         for &node in nodes {
             if node >= n {
                 defective = true;
@@ -193,19 +157,18 @@ mod tests {
     }
 
     fn assert_paths_agree(group_of: &[u32], premass: &[f64], nodes: &[u32]) {
-        let lane = gather_subset(group_of, premass, nodes);
-        let scalar = gather_subset_scalar(group_of, premass, nodes);
+        let fast = gather_subset(group_of, premass, nodes);
+        let naive = gather_subset_naive(group_of, premass, nodes);
         assert_eq!(
-            lane.map(f64::to_bits),
-            scalar.map(f64::to_bits),
-            "lane/scalar divergence on subset {nodes:?}"
+            fast.map(f64::to_bits),
+            naive.map(f64::to_bits),
+            "fast/naive divergence on subset {nodes:?}"
         );
     }
 
-    /// The 65 536-node scalar boundary, one node either side of it and
-    /// on it: the lane path must agree bitwise with whichever duplicate
-    /// detector the scalar fallback picks — the ISSUE-9 regression for
-    /// the large-side sort path.
+    /// The 65 536-node naive boundary, one node either side of it and on
+    /// it: the gather must agree bitwise with whichever duplicate
+    /// detector the naive form picks (stack bitmap or sort).
     #[test]
     fn boundary_65536_both_sides() {
         for n in [65_535u32, 65_536, 65_537] {
@@ -213,7 +176,7 @@ mod tests {
             // Clean subsets across the whole range, remainder lengths included.
             let clean: Vec<u32> = (0..80).map(|i| i * (n / 80)).collect();
             assert_paths_agree(&group_of, &premass, &clean);
-            assert_paths_agree(&group_of, &premass, &clean[..U32_LANES - 1]);
+            assert_paths_agree(&group_of, &premass, &clean[..7]);
             assert_paths_agree(&group_of, &premass, &[n - 1]);
             // Duplicates, early and late.
             let mut dup = clean.clone();
@@ -231,15 +194,15 @@ mod tests {
     }
 
     /// The scratch bitmap must not leak state between calls on the same
-    /// thread: a duplicate (or an early out-of-range exit) in one call
-    /// must leave the next call's verdicts untouched.
+    /// thread: a duplicate (or an out-of-range id) in one call must
+    /// leave the next call's verdicts untouched.
     #[test]
     fn scratch_bitmap_clears_between_calls() {
         let (group_of, premass) = side(200_000, 31);
         let probe: Vec<u32> = (0..64u32).map(|i| i * 3000).collect();
         let baseline = gather_subset(&group_of, &premass, &probe).expect("clean subset");
-        // A duplicate-heavy call, an out-of-range call (early exit after
-        // marking a prefix), then the probe again — same bits.
+        // A duplicate-heavy call, an out-of-range call, then the probe
+        // again — same bits.
         let mut dup = probe.clone();
         dup.extend_from_slice(&probe);
         assert_eq!(gather_subset(&group_of, &premass, &dup), None);
@@ -268,15 +231,20 @@ mod tests {
 
     #[test]
     fn chunk_granular_oob_matches_scalar_verdict() {
-        // Out-of-range ids at every position within a chunk: the lane
-        // sweep stops at chunk granularity, the scalar loop per node —
-        // both must report defective, and clean calls must still work
-        // afterwards.
+        // An out-of-range id, and separately a duplicate, at every
+        // position of the subset: the hoisted passes and the naive
+        // per-node loop must both report defective, and clean calls
+        // must still work afterwards.
         let (group_of, premass) = side(1000, 7);
-        for pos in 0..=2 * U32_LANES {
-            let mut nodes: Vec<u32> = (0..=2 * U32_LANES as u32).collect();
-            nodes[pos] = 5000;
-            assert_paths_agree(&group_of, &premass, &nodes);
+        let clean: Vec<u32> = (0..17).collect();
+        for pos in 0..clean.len() {
+            let mut oob = clean.clone();
+            oob[pos] = 5000;
+            assert_paths_agree(&group_of, &premass, &oob);
+            let mut dup = clean.clone();
+            dup[pos] = clean[(pos + 1) % clean.len()];
+            assert_paths_agree(&group_of, &premass, &dup);
+            assert_eq!(gather_subset(&group_of, &premass, &dup), None);
         }
         assert_paths_agree(&group_of, &premass, &[1, 2, 3]);
     }
@@ -286,6 +254,6 @@ mod tests {
         let (group_of, premass): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
         assert_eq!(gather_subset(&group_of, &premass, &[0]), None);
         assert_eq!(gather_subset(&group_of, &premass, &[]), Some(0.0));
-        assert_eq!(gather_subset_scalar(&group_of, &premass, &[]), Some(0.0));
+        assert_eq!(gather_subset_naive(&group_of, &premass, &[]), Some(0.0));
     }
 }
